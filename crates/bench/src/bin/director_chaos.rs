@@ -23,9 +23,9 @@
 use std::process::ExitCode;
 
 use cosmic_core::cosmic_director::{
-    journal::fnv1a, Director, DirectorConfig, DirectorRun, FairnessPolicy, JobCheckpointStore,
-    Journal,
+    Director, DirectorConfig, DirectorRun, FairnessPolicy, JobCheckpointStore, Journal,
 };
+use cosmic_core::cosmic_runtime::collectives::checksum::fnv1a;
 use cosmic_core::cosmic_runtime::RetryPolicy;
 use cosmic_core::cosmic_sim::{
     ArrivalProfile, DirectorFaultPlan, DirectorFaultRates, JobArrivalPlan,

@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use crate::checksum::Fnv1a;
 use crate::schedule::{CommSchedule, ScheduleError};
 use crate::strategy::{Collective, CollectiveKind};
 use crate::topology::{Role, Topology};
@@ -124,50 +125,46 @@ impl BoundedScheduleCache {
     }
 }
 
-/// FNV-1a over the structural content of the role table: role tags,
-/// group memberships, and the group count. Two topologies with the same
-/// fingerprint produce identical schedules from any deterministic
-/// strategy, whatever their epochs, because [`Collective::schedule`]
-/// reads only the role structure.
+/// [`fnv1a`](crate::checksum::fnv1a) over the structural content of the
+/// role table: role tags, group memberships, and the group count, each
+/// as a little-endian word. Two topologies with the same fingerprint
+/// produce identical schedules from any deterministic strategy, whatever
+/// their epochs, because [`Collective::schedule`] reads only the role
+/// structure.
 pub fn topology_fingerprint(topology: &Topology) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-    };
-    eat(topology.groups as u64);
+    let mut h = Fnv1a::new();
+    h.word(topology.groups as u64);
     for role in &topology.roles {
         match role {
             Role::Delta { sigma } => {
-                eat(1);
-                eat(*sigma as u64);
+                h.word(1);
+                h.word(*sigma as u64);
             }
             Role::GroupSigma { members, master } => {
-                eat(2);
-                eat(members.len() as u64);
+                h.word(2);
+                h.word(members.len() as u64);
                 for &m in members {
-                    eat(m as u64);
+                    h.word(m as u64);
                 }
-                eat(*master as u64);
+                h.word(*master as u64);
             }
             Role::MasterSigma { members, group_sigmas } => {
-                eat(3);
-                eat(members.len() as u64);
+                h.word(3);
+                h.word(members.len() as u64);
                 for &m in members {
-                    eat(m as u64);
+                    h.word(m as u64);
                 }
-                eat(group_sigmas.len() as u64);
+                h.word(group_sigmas.len() as u64);
                 for &g in group_sigmas {
-                    eat(g as u64);
+                    h.word(g as u64);
                 }
             }
-            Role::Failed => eat(4),
+            Role::Failed => {
+                h.word(4);
+            }
         }
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -9,6 +9,9 @@
 //! - [`topology`] — the System Director's role assignment and failure
 //!   repair (moved here from `cosmic-runtime` so strategies and the
 //!   runtime share one vocabulary);
+//! - [`checksum`] — FNV-1a-64 and the sealed-trailer rule: the one
+//!   integrity primitive every layer of the stack detects corruption
+//!   with;
 //! - [`codec`] — [`WireRepr`]: the pluggable wire representations
 //!   (dense f64, shared-exponent fixed point, top-k sparsification)
 //!   every layer of the payload path prices and books by, with exact
@@ -46,6 +49,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod cache;
+pub mod checksum;
 pub mod codec;
 pub mod schedule;
 pub mod selector;

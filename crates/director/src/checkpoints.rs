@@ -14,14 +14,16 @@
 //!   [`DirectorError::RecoveryFailed`](crate::DirectorError) instead
 //!   of a panic propagating out of the runtime layer.
 //!
-//! Checksums are FNV-1a over the record's fields, the same family the
-//! runtime uses for model snapshots, so a flipped bit anywhere in a
-//! serialized store is caught before it can fork the control plane.
+//! Checksums are the stack's [FNV-1a](cosmic_collectives::checksum)
+//! over the record's fields, and the serialized store is sealed with a
+//! trailer over all of it, so a flipped bit anywhere in a store is
+//! caught before it can fork the control plane.
 
 use std::collections::BTreeMap;
 
+use cosmic_collectives::checksum::{self, Fnv1a};
+
 use crate::error::DirectorError;
-use crate::journal::fnv1a;
 
 /// One job's checkpointed progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,17 +32,14 @@ pub struct JobCheckpoint {
     pub job: usize,
     /// Rounds completed at checkpoint time.
     pub rounds: usize,
-    /// FNV-1a over (job, rounds) — the replay validity proof.
+    /// Checksum over (job, rounds) — the replay validity proof.
     pub checksum: u64,
 }
 
 impl JobCheckpoint {
     /// The checksum a valid checkpoint of (job, rounds) must carry.
     pub fn expected_checksum(job: usize, rounds: usize) -> u64 {
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&(job as u64).to_le_bytes());
-        bytes[8..].copy_from_slice(&(rounds as u64).to_le_bytes());
-        fnv1a(&bytes)
+        Fnv1a::new().word(job as u64).word(rounds as u64).finish()
     }
 
     /// Whether the stored checksum matches the stored fields.
@@ -111,8 +110,9 @@ impl JobCheckpointStore {
     }
 
     /// Serializes the store: `[u32 count]` then per entry
-    /// `[u64 job][u64 rounds][u64 checksum]`, all little-endian, with
-    /// a trailing FNV-1a over everything before it.
+    /// `[u64 job][u64 rounds][u64 checksum]`, all little-endian,
+    /// [sealed](checksum::seal) with a trailer over everything before
+    /// it.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + self.entries.len() * 24 + 8);
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
@@ -121,8 +121,7 @@ impl JobCheckpointStore {
             out.extend_from_slice(&(c.rounds as u64).to_le_bytes());
             out.extend_from_slice(&c.checksum.to_le_bytes());
         }
-        let total = fnv1a(&out);
-        out.extend_from_slice(&total.to_le_bytes());
+        checksum::seal(&mut out);
         out
     }
 
@@ -137,11 +136,7 @@ impl JobCheckpointStore {
         if bytes.len() < 12 {
             return Err(whole(0));
         }
-        let body = &bytes[..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().unwrap_or([0; 8]));
-        if fnv1a(body) != stored {
-            return Err(whole(0));
-        }
+        let body = checksum::open(bytes).map_err(|_| whole(0))?;
         let count = u32::from_le_bytes(body[..4].try_into().unwrap_or([0; 4])) as usize;
         if body.len() != 4 + count * 24 {
             return Err(whole(0));
@@ -193,7 +188,7 @@ mod tests {
         // so the per-entry checksum is what catches it.
         bytes[12] ^= 0x04;
         let body_len = bytes.len() - 8;
-        let total = fnv1a(&bytes[..body_len]);
+        let total = checksum::fnv1a(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&total.to_le_bytes());
         match JobCheckpointStore::from_bytes(&bytes) {
             Err(DirectorError::RecoveryFailed { job, source }) => {

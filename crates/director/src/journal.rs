@@ -14,31 +14,34 @@
 //!
 //! ## Wire format
 //!
-//! Each record is length-prefixed and checksummed independently:
+//! Each record is length-prefixed and [sealed](checksum::seal)
+//! independently:
 //!
 //! ```text
-//! [u32 payload_len (LE)] [payload bytes] [u64 FNV-1a(payload) (LE)]
+//! [u32 payload_len (LE)] [u32 len_check (LE)] [payload bytes]
+//! [u64 checksum of every preceding byte of the record (LE)]
 //! ```
 //!
+//! `len_check` is the low 32 bits of [`checksum::fnv1a`] over the four
+//! length bytes, so a damaged length is caught before it is trusted.
 //! The payload is `[u64 event_index] [f64 at_s bits] [u8 tag] fields`,
 //! all little-endian, with `Vec<u32>` as a `u32` count plus items and
-//! strings as a `u32` length plus UTF-8 bytes. A record whose length
-//! prefix overruns the buffer or whose checksum fails is *torn* — a
-//! director killed mid-write — and [`Journal::decode`] rolls the tail
-//! back to the last complete record, exactly like a database WAL.
+//! strings as a `u32` length plus UTF-8 bytes.
+//!
+//! A director killed mid-write leaves a correct prefix of its final
+//! record. So a record that ends inside its header, or whose checked
+//! length overruns the buffer, or a final record whose trailer fails,
+//! is *torn*: [`Journal::decode`] rolls the tail back to the last
+//! complete record, exactly like a database WAL. A complete header that
+//! fails its check, or any earlier record whose trailer fails, cannot
+//! come from a torn write and is [`DirectorError::JournalCorrupt`].
+
+use cosmic_collectives::checksum;
 
 use crate::error::DirectorError;
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the same checksum family the runtime
-/// uses for chunks, frames, and checkpoints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
+/// Record header bytes: the payload length and its check.
+const HEADER_BYTES: usize = 8;
 
 /// Why a job was shed instead of queued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,46 +227,50 @@ impl Journal {
         self.records
     }
 
-    /// Appends one record (length prefix, payload, checksum).
+    /// Appends one record (header, payload, trailer).
     pub fn append(&mut self, record: &Record) {
-        let payload = encode_payload(record);
-        self.bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let checksum = fnv1a(&payload);
-        self.bytes.extend_from_slice(&payload);
-        self.bytes.extend_from_slice(&checksum.to_le_bytes());
+        let mut sealed = Vec::with_capacity(64);
+        sealed.extend_from_slice(&[0; HEADER_BYTES]);
+        encode_payload(&mut sealed, record);
+        let len = ((sealed.len() - HEADER_BYTES) as u32).to_le_bytes();
+        sealed[..4].copy_from_slice(&len);
+        sealed[4..HEADER_BYTES].copy_from_slice(&len_check(len).to_le_bytes());
+        checksum::seal(&mut sealed);
+        self.bytes.extend_from_slice(&sealed);
         self.records += 1;
     }
 
     /// Decodes a journal byte stream, rolling a torn tail back to the
-    /// last complete record. Only a record that is *structurally*
-    /// complete but checksum-corrupt mid-stream is an error — that is
+    /// last complete record (see the module docs for what counts as
+    /// torn). Damage a torn write cannot produce is an error — that is
     /// bit rot, not a mid-write kill, and replaying past it could
     /// silently fork the state.
     pub fn decode(bytes: &[u8]) -> Result<(Vec<Record>, DecodeTail), DirectorError> {
         let mut records = Vec::new();
         let mut at = 0usize;
         while at < bytes.len() {
-            let Some(end) = frame_end(bytes, at) else {
-                // Truncated mid-record: a torn final write.
-                return Ok((records, DecodeTail::Torn { valid_bytes: at }));
+            let torn = |records| Ok((records, DecodeTail::Torn { valid_bytes: at }));
+            let corrupt = |what: &str| DirectorError::JournalCorrupt {
+                detail: format!("record {} {what}", records.len()),
             };
-            let payload = &bytes[at + 4..end - 8];
-            let stored = u64::from_le_bytes(bytes[end - 8..end].try_into().unwrap_or([0; 8]));
-            if fnv1a(payload) != stored {
+            let Some(header) = bytes[at..].first_chunk::<HEADER_BYTES>() else {
+                return torn(records);
+            };
+            let payload_len = checked_len(header)
+                .ok_or_else(|| corrupt("length prefix fails its check (bit rot)"))?;
+            let end = (at + HEADER_BYTES + checksum::TRAILER_BYTES).checked_add(payload_len);
+            let Some(end) = end.filter(|&end| end <= bytes.len()) else {
+                return torn(records);
+            };
+            let Ok(body) = checksum::open(&bytes[at..end]) else {
                 if end == bytes.len() {
                     // Damaged final record: torn write, roll back.
-                    return Ok((records, DecodeTail::Torn { valid_bytes: at }));
+                    return torn(records);
                 }
-                return Err(DirectorError::JournalCorrupt {
-                    detail: format!(
-                        "record {} checksum mismatch mid-journal (bit rot)",
-                        records.len()
-                    ),
-                });
-            }
-            let record = decode_payload(payload).ok_or_else(|| DirectorError::JournalCorrupt {
-                detail: format!("record {} has a malformed payload", records.len()),
-            })?;
+                return Err(corrupt("checksum mismatch mid-journal (bit rot)"));
+            };
+            let record = decode_payload(&body[HEADER_BYTES..])
+                .ok_or_else(|| corrupt("has a malformed payload"))?;
             records.push(record);
             at = end;
         }
@@ -271,84 +278,86 @@ impl Journal {
     }
 }
 
-/// The end offset of the frame starting at `at`, or `None` if the
-/// buffer ends before the frame does.
-fn frame_end(bytes: &[u8], at: usize) -> Option<usize> {
-    let len_bytes: [u8; 4] = bytes.get(at..at + 4)?.try_into().ok()?;
-    let payload_len = u32::from_le_bytes(len_bytes) as usize;
-    let end = at.checked_add(4)?.checked_add(payload_len)?.checked_add(8)?;
-    (end <= bytes.len()).then_some(end)
+/// The check a record header carries for its four length bytes.
+fn len_check(len: [u8; 4]) -> u32 {
+    checksum::fnv1a(&len) as u32
 }
 
-fn encode_payload(record: &Record) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
+/// The payload length a record header declares, or `None` when the
+/// length fails its check.
+fn checked_len(header: &[u8; HEADER_BYTES]) -> Option<usize> {
+    let (len, check) = header.split_first_chunk::<4>()?;
+    let check = u32::from_le_bytes(check.try_into().ok()?);
+    (len_check(*len) == check).then_some(u32::from_le_bytes(*len) as usize)
+}
+
+fn encode_payload(out: &mut Vec<u8>, record: &Record) {
     out.extend_from_slice(&record.event.to_le_bytes());
     out.extend_from_slice(&record.at_s.to_bits().to_le_bytes());
     match &record.decision {
         Decision::Submit { job } => {
             out.push(0);
-            put_usize(&mut out, *job);
+            put_usize(out, *job);
         }
         Decision::Reject { job, reason } => {
             out.push(1);
-            put_usize(&mut out, *job);
-            put_str(&mut out, reason);
+            put_usize(out, *job);
+            put_str(out, reason);
         }
         Decision::Shed { job, reason } => {
             out.push(2);
-            put_usize(&mut out, *job);
+            put_usize(out, *job);
             out.push(reason.tag());
         }
         Decision::Admit { job, grant } => {
             out.push(3);
-            put_usize(&mut out, *job);
-            put_list(&mut out, grant);
+            put_usize(out, *job);
+            put_list(out, grant);
         }
         Decision::Grow { job, nodes } => {
             out.push(4);
-            put_usize(&mut out, *job);
-            put_list(&mut out, nodes);
+            put_usize(out, *job);
+            put_list(out, nodes);
         }
         Decision::Shrink { job, nodes } => {
             out.push(5);
-            put_usize(&mut out, *job);
-            put_list(&mut out, nodes);
+            put_usize(out, *job);
+            put_list(out, nodes);
         }
         Decision::Complete { job } => {
             out.push(6);
-            put_usize(&mut out, *job);
+            put_usize(out, *job);
         }
         Decision::Crash { job, rollback_rounds } => {
             out.push(7);
-            put_usize(&mut out, *job);
-            put_usize(&mut out, *rollback_rounds);
+            put_usize(out, *job);
+            put_usize(out, *rollback_rounds);
         }
         Decision::Slab { lo, len } => {
             out.push(8);
-            put_usize(&mut out, *lo);
-            put_usize(&mut out, *len);
+            put_usize(out, *lo);
+            put_usize(out, *len);
         }
         Decision::SlabRepair { lo, len } => {
             out.push(9);
-            put_usize(&mut out, *lo);
-            put_usize(&mut out, *len);
+            put_usize(out, *lo);
+            put_usize(out, *len);
         }
         Decision::Restart { job, rounds } => {
             out.push(10);
-            put_usize(&mut out, *job);
-            put_usize(&mut out, *rounds);
+            put_usize(out, *job);
+            put_usize(out, *rounds);
         }
         Decision::PoisonRetry { job, attempt } => {
             out.push(11);
-            put_usize(&mut out, *job);
+            put_usize(out, *job);
             out.extend_from_slice(&attempt.to_le_bytes());
         }
         Decision::Quarantine { job } => {
             out.push(12);
-            put_usize(&mut out, *job);
+            put_usize(out, *job);
         }
     }
-    out
 }
 
 fn decode_payload(payload: &[u8]) -> Option<Record> {
@@ -531,7 +540,7 @@ mod tests {
         // Flip a bit in the FIRST record's payload: mid-journal rot is
         // a typed error, not a silent rollback.
         let mut bytes = j.bytes().to_vec();
-        bytes[6] ^= 0x01;
+        bytes[HEADER_BYTES + 2] ^= 0x01;
         assert!(matches!(Journal::decode(&bytes), Err(DirectorError::JournalCorrupt { .. })));
     }
 

@@ -144,7 +144,7 @@ fn corrupt_checkpoint_store_is_a_typed_recovery_error() {
     // per-entry checksum is what catches it.
     bytes[12] ^= 0x01;
     let body = bytes.len() - 8;
-    let total = cosmic_director::journal::fnv1a(&bytes[..body]);
+    let total = cosmic_collectives::checksum::fnv1a(&bytes[..body]);
     bytes[body..].copy_from_slice(&total.to_le_bytes());
     let rsink = TraceSink::new();
     let err = Director::recover(&cfg, &plan, &faults, &baseline.journal, &bytes, &rsink)
@@ -152,6 +152,24 @@ fn corrupt_checkpoint_store_is_a_typed_recovery_error() {
     match err {
         DirectorError::RecoveryFailed { job, .. } => assert_eq!(job, 3),
         other => panic!("expected RecoveryFailed, got {other}"),
+    }
+}
+
+#[test]
+fn every_flip_of_the_first_length_prefix_is_corruption() {
+    // A damaged length prefix must not read as a torn tail at byte 0,
+    // which would silently drop every record of the journal.
+    let (cfg, plan, faults) = scenario();
+    let sink = TraceSink::new();
+    let baseline = Director::run_journaled(&cfg, &plan, &faults, &sink).expect("unkilled run");
+    for bit in 0..32 {
+        let mut bytes = baseline.journal.clone();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        let decoded = Journal::decode(&bytes).map(|(records, tail)| (records.len(), tail));
+        assert!(
+            matches!(decoded, Err(DirectorError::JournalCorrupt { .. })),
+            "flip of length bit {bit} decoded as {decoded:?}"
+        );
     }
 }
 

@@ -7,7 +7,7 @@
 //! it). This module provides both on virtual time:
 //!
 //! - [`CheckpointStore`] snapshots the model every `cadence`
-//!   iterations. Each [`Checkpoint`] carries an FNV-1a checksum over
+//!   iterations. Each [`Checkpoint`] carries a [`model_checksum`] over
 //!   the model's f64 bit patterns; [`Checkpoint::verify`] rejects a
 //!   corrupted snapshot before anyone catches up from it.
 //! - Between checkpoints the store retains each iteration's aggregated
@@ -28,20 +28,12 @@
 use std::error::Error;
 use std::fmt;
 
-/// FNV-1a over the little-endian bytes of each word's bit pattern.
-/// Stable across platforms, cheap, and sensitive to single-bit flips —
-/// all a deterministic simulator needs from a checksum.
+use cosmic_collectives::checksum::Fnv1a;
+
+/// The stack's [FNV-1a](cosmic_collectives::checksum) over the
+/// little-endian bytes of each word's bit pattern.
 pub fn model_checksum(model: &[f64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for word in model {
-        for byte in word.to_bits().to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    }
-    hash
+    Fnv1a::new().f64s(model).finish()
 }
 
 /// Checkpointing cadence.

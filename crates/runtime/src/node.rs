@@ -14,11 +14,10 @@
 //! reported — rather than poisoning the aggregate or crashing the Sigma.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
+use cosmic_collectives::checksum::Fnv1a;
 use crossbeam::channel::Receiver;
-use crossbeam::sync::WaitGroup;
-use parking_lot::Mutex;
 
 use crate::buffer::WordBuf;
 use crate::circbuf::CircularBuffer;
@@ -47,8 +46,9 @@ pub struct Chunk {
     pub offset: usize,
     /// The values (at most [`CHUNK_WORDS`] of them).
     pub data: WordBuf,
-    /// FNV-1a checksum over the offset and payload bits, computed at
-    /// send time and verified by the receiving Sigma.
+    /// Checksum over the offset and payload bits (see
+    /// [`Chunk::checksum_of`]), computed at send time and verified by
+    /// the receiving Sigma.
     pub checksum: u64,
 }
 
@@ -61,23 +61,11 @@ impl Chunk {
     }
 
     /// The checksum a well-formed chunk at `offset` carrying `data`
-    /// must bear (FNV-1a over the offset and the payload's bit
-    /// patterns — cheap, deterministic, and sensitive to any flip).
+    /// must bear: the stack's [FNV-1a](cosmic_collectives::checksum)
+    /// over the offset and the payload's bit patterns, each as a
+    /// little-endian word.
     pub fn checksum_of(offset: usize, data: &[f64]) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |bytes: [u8; 8]| {
-            for b in bytes {
-                hash ^= u64::from(b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix((offset as u64).to_le_bytes());
-        for v in data {
-            mix(v.to_bits().to_le_bytes());
-        }
-        hash
+        Fnv1a::new().word(offset as u64).f64s(data).finish()
     }
 
     /// Whether the payload still matches its checksum.
@@ -352,10 +340,9 @@ impl SigmaAggregator {
     fn drain_validated(&self, model_len: usize, incoming: Vec<Receiver<Chunk>>) -> DrainedRound {
         let stripes = crate::layout::chunk_count(model_len);
         let peers = incoming.len();
-        let folds: Arc<Vec<Mutex<PeerFold>>> =
-            Arc::new((0..peers).map(|_| Mutex::new(PeerFold::default())).collect());
-
-        let wg = WaitGroup::new();
+        // Each consumer reports its peer's fold once; the channel closes
+        // when every consumer has finished and dropped its sender.
+        let (done_tx, done_rx) = mpsc::channel::<(usize, PeerFold)>();
         for (peer, rx) in incoming.into_iter().enumerate() {
             // Bounded ring: forces networking and aggregation to overlap
             // rather than buffering whole models.
@@ -378,8 +365,7 @@ impl SigmaAggregator {
             // staging buffer, validating as it goes.
             {
                 let ring = Arc::clone(&ring);
-                let folds = Arc::clone(&folds);
-                let wg = wg.clone();
+                let done = done_tx.clone();
                 self.aggregation.execute(move || {
                     let mut staged: Option<Vec<f64>> = None;
                     let mut seen = vec![false; stripes];
@@ -417,12 +403,17 @@ impl SigmaAggregator {
                             .copy_from_slice(&chunk.data);
                     }
                     let high_water = ring.high_water();
-                    *folds[peer].lock() = PeerFold { staged, fault, duplicates, high_water };
-                    drop(wg);
+                    // The receiver lives until every sender is gone, so
+                    // this send cannot fail.
+                    let _ = done.send((peer, PeerFold { staged, fault, duplicates, high_water }));
                 });
             }
         }
-        wg.wait();
+        drop(done_tx);
+        let mut folds: Vec<PeerFold> = (0..peers).map(|_| PeerFold::default()).collect();
+        for (peer, fold) in done_rx {
+            folds[peer] = fold;
+        }
 
         // Collect surviving peers in index order — the determinism
         // contract every final fold (float or integer) builds on.
@@ -430,17 +421,12 @@ impl SigmaAggregator {
         let mut duplicates_dropped = 0;
         let mut ring_high_water = 0;
         let mut survivors: Vec<Vec<f64>> = Vec::new();
-        for (peer, fold) in folds.iter().enumerate() {
-            let mut fold = fold.lock();
+        for (peer, fold) in folds.into_iter().enumerate() {
             duplicates_dropped += fold.duplicates;
             ring_high_water = ring_high_water.max(fold.high_water);
             match fold.fault {
                 Some(fault) => quarantined.push((peer, fault)),
-                None => {
-                    if let Some(staged) = fold.staged.take() {
-                        survivors.push(staged);
-                    }
-                }
+                None => survivors.extend(fold.staged),
             }
         }
         DrainedRound { survivors, quarantined, duplicates_dropped, ring_high_water }

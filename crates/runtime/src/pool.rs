@@ -78,9 +78,7 @@ impl ThreadPool {
         self.size
     }
 
-    /// Jobs submitted through [`ThreadPool::execute`] so far (the
-    /// internal barrier jobs of [`ThreadPool::wait_idle`] are not
-    /// counted — they are plumbing, not work).
+    /// Jobs submitted through [`ThreadPool::execute`] so far.
     pub fn jobs_submitted(&self) -> usize {
         self.submitted.load(Ordering::Relaxed)
     }
@@ -88,36 +86,13 @@ impl ThreadPool {
     /// Submits a job for execution on some worker.
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.submit_inner(Box::new(job));
-    }
-
-    fn submit_inner(&self, job: Job) {
         // The sender lives until Drop and the workers hold the receiver
         // open as long as it does, so submission can only fail mid-Drop
         // — unreachable through the public API, and dropping the job is
         // then the correct outcome.
         if let Some(sender) = &self.sender {
-            let _ = sender.send(job);
+            let _ = sender.send(Box::new(job));
         }
-    }
-
-    /// Blocks until every job submitted *before this call* has finished.
-    ///
-    /// Implemented by submitting one barrier job per worker and waiting
-    /// on them jointly, which drains the queue ahead of the barriers.
-    pub fn wait_idle(&self) {
-        let wg = crossbeam::sync::WaitGroup::new();
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(self.size + 1));
-        for _ in 0..self.size {
-            let wg = wg.clone();
-            let barrier = std::sync::Arc::clone(&barrier);
-            self.submit_inner(Box::new(move || {
-                barrier.wait();
-                drop(wg);
-            }));
-        }
-        barrier.wait();
-        wg.wait();
     }
 }
 
@@ -154,28 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_idle_flushes_prior_jobs() {
-        let pool = ThreadPool::new(2, "test");
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..64 {
-            let c = Arc::clone(&counter);
-            pool.execute(move || {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-        // Pool is still usable afterwards.
-        let c = Arc::clone(&counter);
-        pool.execute(move || {
-            c.fetch_add(1, Ordering::SeqCst);
-        });
-        pool.wait_idle();
-        assert_eq!(counter.load(Ordering::SeqCst), 65);
-    }
-
-    #[test]
     fn workers_are_reused_not_respawned() {
         // All jobs must run on exactly `size` distinct threads.
         let pool = ThreadPool::new(2, "reuse");
@@ -191,13 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn submission_counter_excludes_wait_idle_barriers() {
+    fn submission_counter_counts_execute_calls() {
         let pool = ThreadPool::new(2, "count");
         assert_eq!(pool.jobs_submitted(), 0);
         for _ in 0..17 {
             pool.execute(|| {});
         }
-        pool.wait_idle();
         assert_eq!(pool.jobs_submitted(), 17);
     }
 

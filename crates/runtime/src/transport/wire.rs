@@ -1,9 +1,9 @@
 //! The length-prefixed, checksummed wire format every real transport
 //! backend speaks.
 //!
-//! A frame is a fixed 37-byte header, a payload of little-endian f64
-//! bit patterns, and a trailing FNV-1a checksum over everything before
-//! it:
+//! A frame is a fixed 37-byte header and a payload of little-endian
+//! f64 bit patterns, [sealed](cosmic_collectives::checksum::seal) with
+//! the checksum of everything before the trailer:
 //!
 //! ```text
 //! magic:u32 | kind:u8 | node:u32 | iteration:u64 | a:u64 | b:u64 |
@@ -21,6 +21,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{Read, Write};
 
+use cosmic_collectives::checksum;
 use cosmic_collectives::codec::{decode_tagged, WireRepr};
 
 use crate::buffer::WordBuf;
@@ -34,7 +35,7 @@ pub const MAGIC: u32 = 0x434F_534D;
 pub const HEADER_BYTES: usize = 37;
 
 /// Trailing checksum bytes.
-pub const CHECKSUM_BYTES: usize = 8;
+pub const CHECKSUM_BYTES: usize = checksum::TRAILER_BYTES;
 
 /// Ceiling on a frame's payload length in words (64 MiB of f64s) —
 /// rejects garbage lengths before any allocation.
@@ -48,7 +49,7 @@ pub enum FrameKind {
     /// 0 for a normal round stream.
     Hello = 1,
     /// One model chunk: `a` is the word offset, `b` the chunk's own
-    /// FNV-1a checksum (carried verbatim).
+    /// checksum (carried verbatim).
     Chunk = 2,
     /// Liveness beacon feeding the φ-accrual detector.
     Heartbeat = 3,
@@ -68,7 +69,7 @@ pub enum FrameKind {
     /// One model chunk travelling in an encoded wire representation:
     /// `a` is the word offset, `b` packs the codec tag (bits 32..40)
     /// above the encoded byte length (bits 0..32). Payload word 0 is
-    /// the staged chunk's own FNV-1a checksum — verbatim, so
+    /// the staged chunk's own checksum — verbatim, so
     /// Sigma-level validation survives re-encoding — followed by the
     /// codec bytes packed eight to a word.
     Encoded = 9,
@@ -216,7 +217,7 @@ impl Frame {
         for word in self.payload.iter() {
             buf.extend_from_slice(&word.to_bits().to_le_bytes());
         }
-        buf.extend_from_slice(&fnv1a(&buf).to_le_bytes());
+        checksum::seal(&mut buf);
         buf
     }
 
@@ -237,26 +238,21 @@ impl Frame {
                 got: buf.len(),
             });
         }
-        let (body, sum) = rest.split_at(body_bytes);
-        verify_checksum(&buf[..HEADER_BYTES + body_bytes], sum)?;
-        assemble(header, body)
+        checksum::open(buf)
+            .map_err(|m| WireError::ChecksumMismatch { expected: m.expected, found: m.found })?;
+        assemble(header, &rest[..body_bytes])
     }
 
     /// Reads one frame off a byte stream (header first, then exactly
     /// the advertised payload). I/O failures — including read-deadline
     /// expiry — surface as [`WireError::Io`].
     pub fn read_from(reader: &mut impl Read) -> Result<Self, WireError> {
-        let mut header = [0u8; HEADER_BYTES];
-        reader.read_exact(&mut header).map_err(WireError::from_io)?;
-        let words = parse_header_len(&header)?;
-        let mut rest = vec![0u8; 8 * words as usize + CHECKSUM_BYTES];
-        reader.read_exact(&mut rest).map_err(WireError::from_io)?;
-        let (body, sum) = rest.split_at(8 * words as usize);
-        let mut summed = Vec::with_capacity(HEADER_BYTES + body.len());
-        summed.extend_from_slice(&header);
-        summed.extend_from_slice(body);
-        verify_checksum(&summed, sum)?;
-        assemble(&header, body)
+        let mut buf = vec![0u8; HEADER_BYTES];
+        reader.read_exact(&mut buf).map_err(WireError::from_io)?;
+        let words = parse_header_len(&buf)?;
+        buf.resize(HEADER_BYTES + 8 * words as usize + CHECKSUM_BYTES, 0);
+        reader.read_exact(&mut buf[HEADER_BYTES..]).map_err(WireError::from_io)?;
+        Frame::decode(&buf)
     }
 
     /// Writes the encoded frame to a byte stream.
@@ -276,16 +272,6 @@ fn parse_header_len(header: &[u8]) -> Result<u32, WireError> {
         return Err(WireError::Oversized { words });
     }
     Ok(words)
-}
-
-/// Compares the trailing checksum against the frame bytes.
-fn verify_checksum(summed: &[u8], sum: &[u8]) -> Result<(), WireError> {
-    let expected = fnv1a(summed);
-    let found = u64::from_le_bytes(slice8(sum, 0));
-    if expected != found {
-        return Err(WireError::ChecksumMismatch { expected, found });
-    }
-    Ok(())
 }
 
 /// Builds the frame from a validated header and payload body.
@@ -313,19 +299,6 @@ fn slice8(buf: &[u8], at: usize) -> [u8; 8] {
     let mut out = [0u8; 8];
     out.copy_from_slice(&buf[at..at + 8]);
     out
-}
-
-/// FNV-1a over raw bytes — same constants as the chunk and model
-/// checksums, so the whole stack shares one hash discipline.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
 }
 
 /// A typed wire-decoding failure. Malformed input is a value, never a

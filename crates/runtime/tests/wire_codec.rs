@@ -155,7 +155,7 @@ fn oversized_length_is_rejected() {
     // re-seal the checksum so only the guard can reject it.
     encoded[33..37].copy_from_slice(&u32::MAX.to_le_bytes());
     let body_end = encoded.len() - 8;
-    let sum = cosmic_runtime::transport::wire::fnv1a(&encoded[..body_end]);
+    let sum = cosmic_collectives::checksum::fnv1a(&encoded[..body_end]);
     encoded[body_end..].copy_from_slice(&sum.to_le_bytes());
     match Frame::decode(&encoded) {
         Err(WireError::Oversized { words }) => assert_eq!(words, u32::MAX),
